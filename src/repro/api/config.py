@@ -31,6 +31,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
+import numpy as np
+
 from ..core.cache import check_cache_bytes
 from ..core.hierarchy import Hierarchy, IntervalHierarchy
 from ..core.schema import Schema
@@ -362,7 +364,13 @@ def _build_categorical(
     name: str, spec: Mapping[str, Any], table: Table, config: AnonymizationConfig
 ) -> Hierarchy:
     builder = spec["builder"] if "builder" in spec else "auto"
-    values = sorted(set(table.column(name).decode()), key=str)
+    column = table.column(name)
+    if column.is_categorical:
+        # The categories present, without decoding a value per row.
+        present = np.flatnonzero(np.bincount(column.codes, minlength=len(column.categories)))
+        values = sorted({column.categories[code] for code in present.tolist()}, key=str)
+    else:
+        values = sorted(set(column.decode()), key=str)
     if builder == "auto":
         return _prefix_or_flat(values)
     if builder == "flat":

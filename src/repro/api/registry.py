@@ -327,37 +327,53 @@ algorithm_registry.register(
 
 
 def _register_stock_metrics() -> None:
-    from ..attacks.linkage import linkage_risks
-    from ..metrics.discernibility import c_avg, discernibility_of_release
-    from ..metrics.entropy_loss import non_uniform_entropy
-    from ..metrics.loss import gcp
-    from ..metrics.precision import precision
+    # Each metric imports its module on first use, so a job that requests
+    # no metrics never loads (or compiles) repro.metrics or repro.attacks.
+    def gcp(ctx: MetricContext):
+        from ..metrics.loss import gcp
 
-    metric_registry.register(
-        "gcp", lambda ctx: gcp(ctx.original, ctx.release, ctx.hierarchies)
-    )
-    metric_registry.register("precision", lambda ctx: precision(ctx.release, ctx.hierarchies))
-    metric_registry.register(
-        "non_uniform_entropy",
-        lambda ctx: non_uniform_entropy(ctx.original, ctx.release, ctx.hierarchies),
-    )
-    metric_registry.register(
-        "discernibility", lambda ctx: discernibility_of_release(ctx.release)
-    )
-    metric_registry.register(
-        "c_avg",
+        return gcp(ctx.original, ctx.release, ctx.hierarchies)
+
+    def precision(ctx: MetricContext):
+        from ..metrics.precision import precision
+
+        return precision(ctx.release, ctx.hierarchies)
+
+    def non_uniform_entropy(ctx: MetricContext):
+        from ..metrics.entropy_loss import non_uniform_entropy
+
+        return non_uniform_entropy(ctx.original, ctx.release, ctx.hierarchies)
+
+    def discernibility(ctx: MetricContext):
+        from ..metrics.discernibility import discernibility_of_release
+
+        return discernibility_of_release(ctx.release)
+
+    def c_avg(ctx: MetricContext):
+        from ..metrics.discernibility import c_avg
+
         # Normalized by the job's requested k (C_AVG's definition); only a
         # job with no k-bearing model falls back to the observed minimum.
-        lambda ctx: c_avg(
-            ctx.release.partition(),
-            k=int(
-                ctx.extras.get("target_k")
-                or max(int(ctx.release.equivalence_class_sizes().min()), 1)
-            ),
-        ),
-    )
-    metric_registry.register("linkage", lambda ctx: linkage_risks(ctx.release))
-    metric_registry.register("homogeneity", _homogeneity)
+        k = ctx.extras.get("target_k") or max(
+            int(ctx.release.equivalence_class_sizes().min()), 1
+        )
+        return c_avg(ctx.release.partition(), k=int(k))
+
+    def linkage(ctx: MetricContext):
+        from ..attacks.linkage import linkage_risks
+
+        return linkage_risks(ctx.release)
+
+    for name, compute in [
+        ("gcp", gcp),
+        ("precision", precision),
+        ("non_uniform_entropy", non_uniform_entropy),
+        ("discernibility", discernibility),
+        ("c_avg", c_avg),
+        ("linkage", linkage),
+        ("homogeneity", _homogeneity),
+    ]:
+        metric_registry.register(name, compute)
 
 
 def _homogeneity(ctx: MetricContext) -> dict:

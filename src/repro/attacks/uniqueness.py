@@ -18,13 +18,28 @@ so they run on any release.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import stats
 
 from ..core.release import Release
 
 __all__ = ["sample_uniques", "zayatz_population_uniques", "poisson_population_uniques",
            "uniqueness_report"]
+
+
+def binom_pmf_one(n: np.ndarray, p: float) -> np.ndarray:
+    """``P(X = 1)`` for ``X ~ Binomial(n, p)``: ``n·p·(1−p)^(n−1)``."""
+    n = np.asarray(n, dtype=np.float64)
+    return n * p * (1.0 - p) ** (n - 1.0)
+
+
+def poisson_pmf(j: np.ndarray, lam: float) -> np.ndarray:
+    """``P(X = j)`` for ``X ~ Poisson(λ)``, in log space:
+    ``exp(j·ln λ − λ − ln Γ(j+1))``."""
+    j = np.asarray(j, dtype=np.float64)
+    log_factorial = np.fromiter(map(math.lgamma, (j + 1.0).tolist()), np.float64, j.size)
+    return np.exp(j * math.log(lam) - lam - log_factorial)
 
 
 def sample_uniques(class_sizes: np.ndarray) -> int:
@@ -50,7 +65,7 @@ def zayatz_population_uniques(class_sizes: np.ndarray, sampling_fraction: float)
 
     # P(sample size = 1 | population size = j) under binomial thinning.
     population_sizes = np.arange(1, max_size + 1)
-    p_observe_one = stats.binom.pmf(1, population_sizes, sampling_fraction)
+    p_observe_one = binom_pmf_one(population_sizes, sampling_fraction)
     # Empirical prior over population sizes approximated by the observed
     # sample-size histogram (the estimator's standard simplification).
     prior = size_counts[1:]
@@ -77,7 +92,7 @@ def poisson_population_uniques(class_sizes: np.ndarray, sampling_fraction: float
     mean_population_size = max(class_sizes.mean() / sampling_fraction, 1.0)
     lam = mean_population_size
     j = np.arange(1, max(int(lam * 6), 20))
-    prior = stats.poisson.pmf(j, lam)
+    prior = poisson_pmf(j, lam)
     likelihood = j * sampling_fraction * (1 - sampling_fraction) ** (j - 1)
     posterior = prior * likelihood
     if posterior.sum() == 0:

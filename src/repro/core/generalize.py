@@ -67,43 +67,87 @@ def apply_partition_recoding(
     * Numeric QIs: the group's ``[min-max]`` interval label (point values stay
       numeric-looking strings only when min == max).
 
+    ``groups`` must partition the rows (empty groups are ignored). The
+    groups are concatenated once and every per-group quantity — the
+    lowest unifying level, the numeric min and max — is one
+    ``reduceat`` over the concatenation; Python runs once per group or
+    per distinct label, never per row.
+
     Returns a new table where each recoded QI is a categorical column.
     """
     n_rows = table.n_rows
+    groups = [group for group in groups if len(group)]
+    sizes = np.fromiter(map(len, groups), np.intp, len(groups))
+    rows = np.concatenate(groups) if groups else np.empty(0, dtype=np.intp)
     covered = np.zeros(n_rows, dtype=bool)
-    for group in groups:
-        covered[group] = True
+    covered[rows] = True
     if not covered.all():
         raise HierarchyError("groups do not cover every row")
+    if rows.size != n_rows:
+        raise HierarchyError("groups overlap")
+    starts = np.cumsum(sizes) - sizes
 
     new_columns: list[Column] = []
     for name, hierarchy in categorical_qis.items():
-        codes = table.codes(name)
-        out = np.empty(n_rows, dtype=object)
-        for group in groups:
-            # Vectorized scatter: one label assignment per group, not per row.
-            out[group] = _categorical_group_label(hierarchy, codes[group])
-        new_columns.append(Column.categorical(name, out.tolist()))
+        codes = hierarchy.ground_codes(table.column(name))[rows]
+        labels, label_of_group = _unifying_labels(hierarchy, codes, starts)
+        new_columns.append(_group_column(name, labels, label_of_group, rows, sizes))
 
     fmt = f"%.{precision}g"
     for name in numeric_qis:
-        values = table.values(name)
-        out = np.empty(n_rows, dtype=object)
-        for group in groups:
-            lo, hi = float(values[group].min()), float(values[group].max())
-            out[group] = fmt % lo if lo == hi else f"[{fmt % lo}-{fmt % hi}]"
-        new_columns.append(Column.categorical(name, out.tolist()))
+        values = table.values(name)[rows]
+        # Agrees with values[group].min()/.max() per group, down to the sign
+        # of a zero result (pinned by the signed-zero recoding test).
+        lo = np.minimum.reduceat(values, starts).astype(np.float64)
+        hi = np.maximum.reduceat(values, starts).astype(np.float64)
+        labels = [
+            fmt % a if a == b else f"[{fmt % a}-{fmt % b}]"
+            for a, b in zip(lo.tolist(), hi.tolist())
+        ]
+        new_columns.append(_group_column(name, labels, np.arange(len(labels)), rows, sizes))
 
     return table.replace(*new_columns)
 
 
-def _categorical_group_label(hierarchy: Hierarchy, group_codes: np.ndarray) -> str:
-    """Label of the minimal hierarchy value covering all codes in the group."""
-    distinct = np.unique(group_codes)
-    if distinct.size == 1:
-        return str(hierarchy.ground[int(distinct[0])])
-    for level in range(1, hierarchy.height + 1):
-        mapped = np.unique(hierarchy.map_codes(distinct, level))
-        if mapped.size == 1:
-            return str(hierarchy.labels(level)[int(mapped[0])])
-    raise HierarchyError("hierarchy top level does not unify the domain")  # pragma: no cover
+def _unifying_labels(
+    hierarchy: Hierarchy, codes: np.ndarray, starts: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """Label of the minimal hierarchy value covering each group.
+
+    ``codes`` are ground codes with the groups laid end to end from
+    ``starts``. A group unifies at the first level where its minimum and
+    maximum generalized codes agree. Returns the distinct labels and, per
+    group, the index of its label."""
+    label_id = np.full(len(starts), -1, dtype=np.int64)
+    offset = 0
+    names: list = []
+    for level in range(hierarchy.height + 1):
+        mapped = codes if level == 0 else hierarchy.map_codes(codes, level)
+        lo = np.minimum.reduceat(mapped, starts)
+        hit = (label_id < 0) & (lo == np.maximum.reduceat(mapped, starts))
+        label_id[hit] = offset + lo[hit]
+        level_names = hierarchy.ground if level == 0 else hierarchy.labels(level)
+        names.extend(level_names)
+        offset += len(level_names)
+    if (label_id < 0).any():  # pragma: no cover - the root unifies any group
+        raise HierarchyError("hierarchy top level does not unify the domain")
+    distinct, label_of_group = np.unique(label_id, return_inverse=True)
+    return [str(names[i]) for i in distinct.tolist()], label_of_group
+
+
+def _group_column(
+    name: str,
+    labels: list[str],
+    label_of_group: np.ndarray,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+) -> Column:
+    """Categorical column giving the rows of group ``g`` (laid end to end
+    in ``rows``) the label ``labels[label_of_group[g]]``; categories are
+    the sorted distinct labels."""
+    categories = sorted(set(labels))
+    index = {label: code for code, label in enumerate(categories)}
+    code_of_label = np.array([index[label] for label in labels], dtype=np.int32)
+    codes = np.empty(rows.size, dtype=np.int32)
+    codes[rows] = np.repeat(code_of_label[label_of_group], sizes)
+    return Column.from_codes(name, codes, categories)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .partition import EquivalenceClasses, partition_by_qi
 from .schema import Schema
-from .table import Table
+from .table import Table, count_by_labels
 
 __all__ = ["Release"]
 
@@ -33,6 +33,7 @@ class Release:
     kept_rows: np.ndarray | None = None
     info: Mapping[str, Any] = field(default_factory=dict)
     _partition: EquivalenceClasses | None = field(default=None, repr=False)
+    _sizes: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_rows(self) -> int:
@@ -52,7 +53,14 @@ class Release:
         return self._partition
 
     def equivalence_class_sizes(self) -> np.ndarray:
-        return self.partition().sizes()
+        """EC sizes in partition order; counted from the QI signature
+        without building the partition when it is not already cached."""
+        if self._partition is not None:
+            return self._partition.sizes()
+        if self._sizes is None:
+            signature = self.table.group_signature(list(self.schema.quasi_identifiers))
+            self._sizes = count_by_labels(signature)
+        return self._sizes
 
     def summary(self) -> dict:
         """Human-readable audit summary."""

@@ -110,16 +110,41 @@ def pack_code_columns(
     return labels
 
 
+def _ordered_keys(labels: np.ndarray) -> np.ndarray:
+    """``labels``, or an order-preserving ``uint16`` copy when they are
+    integers spanning fewer than 2**16 values: numpy's stable sort is then
+    a radix sort, and a bincount over them is small."""
+    if labels.size and labels.dtype.kind in "iu":
+        low = labels.min()
+        if int(labels.max()) - int(low) < 1 << 16:
+            return (labels - low).astype(np.uint16)
+    return labels
+
+
 def split_by_labels(labels: np.ndarray) -> list[np.ndarray]:
     """Row-index arrays of the groups induced by per-row labels.
 
     Groups are ordered by ascending label; within a group, row indices
     ascend (stable argsort keeps original order for equal labels).
     """
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    return np.split(order, boundaries)
+    keys = _ordered_keys(labels)
+    order = np.argsort(keys, kind="stable")
+    bounds = np.flatnonzero(np.diff(keys[order])) + 1
+    starts = [0, *bounds.tolist()]
+    ends = [*bounds.tolist(), order.size]
+    return [order[a:b] for a, b in zip(starts, ends)]
+
+
+def count_by_labels(labels: np.ndarray) -> np.ndarray:
+    """Sizes of the groups :func:`split_by_labels` returns for integer
+    ``labels``, in the same order, without building the groups."""
+    if not labels.size:
+        return np.zeros(1, dtype=np.int64)  # split_by_labels gives one empty group
+    keys = _ordered_keys(labels)
+    if keys.dtype == np.uint16:
+        counts = np.bincount(keys)
+        return counts[counts > 0]
+    return np.unique(keys, return_counts=True)[1].astype(np.int64)
 
 
 @dataclass(frozen=True)

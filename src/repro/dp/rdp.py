@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from ..errors import BudgetError
 
@@ -190,6 +189,11 @@ class ZCDPAccountant:
 # -- Gaussian calibration -------------------------------------------------------
 
 
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF Φ(x) = ½·erfc(−x/√2)."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def classical_gaussian_sigma(epsilon: float, delta: float, sensitivity: float = 1.0) -> float:
     """The textbook bound σ = √(2·ln(1.25/δ))·s/ε (valid for ε ≤ 1)."""
     if epsilon <= 0 or not 0 < delta < 1:
@@ -206,7 +210,7 @@ def gaussian_delta(sigma: float, epsilon: float, sensitivity: float = 1.0) -> fl
         raise BudgetError(f"sigma must be positive, got {sigma}")
     a = sensitivity / (2.0 * sigma)
     b = epsilon * sigma / sensitivity
-    return float(norm.cdf(a - b) - math.exp(epsilon) * norm.cdf(-a - b))
+    return float(normal_cdf(a - b) - math.exp(epsilon) * normal_cdf(-a - b))
 
 
 def analytic_gaussian_sigma(

@@ -25,9 +25,9 @@ the table contents are byte-identical — the digest makes that precise.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Any
@@ -83,16 +83,8 @@ def _resolve_raw(
 
 
 def _parse(raw: bytes, categorical: list[str], numeric: list[str]) -> Table:
-    # read_csv is path-based by contract; round-trip through a temp file
-    # rather than forking a second parser for file-like objects.
-    handle = tempfile.NamedTemporaryFile("wb", suffix=".csv", delete=False)
-    try:
-        handle.write(raw)
-        handle.close()
-        return read_csv(handle.name, categorical=categorical, numeric=numeric)
-    finally:
-        handle.close()
-        os.unlink(handle.name)
+    text = io.StringIO(raw.decode("utf-8"), newline="")
+    return read_csv(text, categorical=categorical, numeric=numeric)
 
 
 def _digest(raw: bytes, categorical: list[str], numeric: list[str]) -> str:
@@ -173,13 +165,9 @@ def table_sha256(table: Table) -> str:
 
 def release_csv_bytes(table: Table) -> bytes:
     """Serialize a release table exactly as ``repro anonymize -o out.csv`` would."""
-    handle = tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False)
-    try:
-        handle.close()
-        write_csv(table, handle.name)
-        return Path(handle.name).read_bytes()
-    finally:
-        os.unlink(handle.name)
+    buffer = io.StringIO(newline="")
+    write_csv(table, buffer)
+    return buffer.getvalue().encode("utf-8")
 
 
 def _roles(spec: dict, key: str) -> list[str]:

@@ -28,6 +28,15 @@ class TestRelease:
         assert summary["equivalence_classes"] == len(release.partition())
         assert summary["min_class_size"] >= 5
 
+    def test_class_sizes_counted_without_partition(self, adult_setup):
+        table, schema, hierarchies = adult_setup
+        for algorithm in (Mondrian(), Datafly()):
+            release = algorithm.anonymize(table, schema, hierarchies, [KAnonymity(5)])
+            release._partition = None
+            sizes = release.equivalence_class_sizes()
+            assert release._partition is None
+            assert sizes.tolist() == release.partition().sizes().tolist()
+
     def test_suppression_rate_zero_without_original_count(self, adult_setup):
         table, schema, hierarchies = adult_setup
         qi = schema.quasi_identifiers

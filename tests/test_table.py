@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.table import Column, Table
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.table import Column, Table, count_by_labels, split_by_labels
 from repro.errors import SchemaError
 
 
@@ -226,3 +229,35 @@ class TestConversion:
     def test_repr_mentions_kinds(self, tiny_table):
         text = repr(tiny_table)
         assert "zipcode:cat" in text and "age:num" in text
+
+
+class TestSplitByLabels:
+    """The radix-key split and the group counts against a plain stable
+    argsort + ``np.split``, for label ranges on both sides of 2**16."""
+
+    @staticmethod
+    def _reference(labels):
+        order = np.argsort(labels, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(-(2**62), 2**62), max_size=60),
+        span=st.sampled_from([3, 1 << 16, (1 << 16) + 1, 1 << 40]),
+        dtype=st.sampled_from([np.int64, np.int32, np.uint64]),
+    )
+    def test_matches_reference(self, values, span, dtype):
+        labels = np.array([v % span for v in values], dtype=np.int64)
+        if dtype is not np.int64:
+            if dtype is np.int32:
+                labels = labels % (1 << 31)
+            labels = labels.astype(dtype)
+        expected = self._reference(labels)
+        groups = split_by_labels(labels)
+        assert len(groups) == len(expected)
+        for got, want in zip(groups, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        sizes = count_by_labels(labels)
+        assert sizes.dtype == np.int64
+        assert sizes.tolist() == [g.size for g in expected]
+
